@@ -56,6 +56,51 @@ void BM_OneLinkMeasurement(benchmark::State& state) {
 }
 BENCHMARK(BM_OneLinkMeasurement)->Unit(benchmark::kMillisecond);
 
+/// Inert registered peer: the sending end of BM_DuplicateDelivery.
+struct SilentPeer final : p2p::Peer {
+  void deliver_tx(const eth::Transaction&, p2p::PeerId) override {}
+  void deliver_announce(eth::TxHash, p2p::PeerId) override {}
+  void deliver_get_tx(eth::TxHash, p2p::PeerId) override {}
+};
+
+/// A warmed 512-entry pool receiving pushes of transactions it already
+/// holds: the no-op delivery that makes up most of a flood campaign's
+/// deliveries. 1000 same-instant pushes per iteration ride one batched
+/// stream, so this times send + batch drain + duplicate verdict.
+void BM_DuplicateDelivery(benchmark::State& state) {
+  sim::Simulator sim;
+  eth::Chain chain{8'000'000};
+  p2p::Network net(&sim, &chain, util::Rng(7), sim::LatencyModel::fixed(0.05));
+  p2p::NodeConfig cfg;
+  mempool::MempoolPolicy policy = mempool::profile_for(mempool::ClientKind::kGeth).policy;
+  policy.capacity = 512;
+  policy.future_cap = 128;
+  cfg.policy_override = policy;
+  const p2p::PeerId node = net.add_node(cfg);
+  SilentPeer sender;
+  const p2p::PeerId from = net.register_peer(&sender);
+  net.connect(node, from);
+  eth::AccountManager accounts;
+  eth::TxFactory factory;
+  std::vector<eth::Transaction> known;
+  for (size_t i = 0; i < policy.capacity; ++i) {
+    const eth::Address a = accounts.create_one();
+    known.push_back(factory.make(a, accounts.allocate_nonce(a), 1000 + i));
+    net.node(node).pool().add(known.back(), 0.0);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i) {
+      net.send_tx(from, node, known[next]);
+      next = (next + 1) % known.size();
+    }
+    sim.run_until(sim.now() + 1.0);
+  }
+  benchmark::DoNotOptimize(net.node(node).pool().size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_DuplicateDelivery);
+
 void BM_KademliaLookupRound(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   for (auto _ : state) {

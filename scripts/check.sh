@@ -63,10 +63,13 @@ if [[ "${1:-}" != "--fast" ]]; then
   # appends from RPC reader threads (including the reader-vs-epoch-loop
   # race on topo_getMetrics / topo_getHealth inside MonitorRpc*), and the
   # exposition walks histogram bucket arrays — ring and index arithmetic
-  # ASan should watch.
+  # ASan should watch. The flat hash table (FlatMap64*) and the duplicate
+  # fast path (KnownTxFastPath*) close the list: backward-shift erase moves
+  # slots across the table's wrap, and the fast path reads a payload in
+  # place in the arena before releasing its slot.
   echo "== pass 3: fault-injection + tracing + strategy suites under ASan (focused) =="
   ./build-asan/tests/toposhot_tests \
-    --gtest_filter='Fault*:TraceRing*:SpanIds*:SpanTracer*:ChromeTrace*:DiagnosticsAnnex*:ProbeCausePlumbing*:GoldenDeterminism*:Strategy*:Dethna*:TxProbe*:SnapshotWorld*:ForkWorld*:PeerLifetime*:BatchDelivery*:FifoClock*:PayloadArena*:LinkTable*:TopologyMonitor*:TopologyDiffTest*:MonitorStatusTest*:MonitorJson*:MonitorSchedule*:MonitorRpc*:MonitorGolden*:EvaluateTracking*:EventLog*:Health*:Prometheus*'
+    --gtest_filter='Fault*:TraceRing*:SpanIds*:SpanTracer*:ChromeTrace*:DiagnosticsAnnex*:ProbeCausePlumbing*:GoldenDeterminism*:Strategy*:Dethna*:TxProbe*:SnapshotWorld*:ForkWorld*:PeerLifetime*:BatchDelivery*:FifoClock*:PayloadArena*:LinkTable*:TopologyMonitor*:TopologyDiffTest*:MonitorStatusTest*:MonitorJson*:MonitorSchedule*:MonitorRpc*:MonitorGolden*:EvaluateTracking*:EventLog*:Health*:Prometheus*:FlatMap64*:KnownTxFastPath*'
 fi
 
 echo "All checks passed."

@@ -8,9 +8,8 @@ Chain::Chain(uint64_t block_gas_limit, Wei base_fee)
     : gas_limit_(block_gas_limit), base_fee_(base_fee) {}
 
 Nonce Chain::next_nonce(Address a) const {
-  const State& s = *st_;
-  auto it = s.next_nonce.find(a);
-  return it == s.next_nonce.end() ? 0 : it->second;
+  const Nonce* n = st_->next_nonce.find(a);
+  return n == nullptr ? 0 : *n;
 }
 
 const Block& Chain::commit(Block b) {
@@ -23,7 +22,7 @@ const Block& Chain::commit(Block b) {
     b.gas_used += tx.gas;
     Nonce& n = s.next_nonce[tx.sender];
     n = std::max(n, tx.nonce + 1);
-    s.included[tx.hash()] = b.number;
+    s.included.insert_or_assign(tx.hash(), b.number);
   }
   base_fee_ = next_base_fee(b);
   s.blocks.push_back(std::move(b));

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "eth/account.h"
 #include "eth/block.h"
 #include "util/cow.h"
+#include "util/flat_map.h"
 
 namespace topo::eth {
 
@@ -51,7 +51,7 @@ class Chain final : public StateView {
   std::vector<const Block*> blocks_in(double t1, double t2) const;
 
   /// True if a transaction with this hash has been included in any block.
-  bool includes(TxHash h) const { return st_->included.count(h) > 0; }
+  bool includes(TxHash h) const { return st_->included.contains(h); }
 
   /// Observer invoked after each commit (nodes subscribe to prune mempools).
   void subscribe(std::function<void(const Block&)> fn) { observers_.push_back(std::move(fn)); }
@@ -60,8 +60,8 @@ class Chain final : public StateView {
   /// Ledger content behind the copy-on-write handle.
   struct State {
     std::vector<Block> blocks;
-    std::unordered_map<Address, Nonce> next_nonce;
-    std::unordered_map<TxHash, uint64_t> included;  // hash -> block number
+    util::FlatMap64<Nonce> next_nonce;  // sender -> next nonce
+    util::FlatMap64<uint64_t> included;  // hash -> block number
   };
 
  public:

@@ -47,18 +47,17 @@ Mempool::Mempool(MempoolPolicy policy, const eth::StateView* state)
 }
 
 const Mempool::AccountQueue* Mempool::account(const State& s, eth::Address sender) {
-  auto it = s.slot_of.find(sender);
-  return it == s.slot_of.end() ? nullptr : &s.slot_queue[it->second];
+  const uint32_t* slot = s.slot_of.find(sender);
+  return slot == nullptr ? nullptr : &s.slot_queue[*slot];
 }
 
 Mempool::AccountQueue* Mempool::account(State& s, eth::Address sender) {
-  auto it = s.slot_of.find(sender);
-  return it == s.slot_of.end() ? nullptr : &s.slot_queue[it->second];
+  const uint32_t* slot = s.slot_of.find(sender);
+  return slot == nullptr ? nullptr : &s.slot_queue[*slot];
 }
 
 Mempool::AccountQueue& Mempool::ensure_account(State& s, eth::Address sender) {
-  auto it = s.slot_of.find(sender);
-  if (it != s.slot_of.end()) return s.slot_queue[it->second];
+  if (const uint32_t* found = s.slot_of.find(sender)) return s.slot_queue[*found];
   uint32_t slot;
   if (!s.free_slots.empty()) {
     slot = s.free_slots.back();
@@ -69,19 +68,17 @@ Mempool::AccountQueue& Mempool::ensure_account(State& s, eth::Address sender) {
     s.slot_addr.push_back(sender);
     s.slot_queue.emplace_back();
   }
-  s.slot_of.emplace(sender, slot);
+  s.slot_of.try_emplace(sender, slot);
   return s.slot_queue[slot];
 }
 
 void Mempool::release_account(State& s, eth::Address sender) {
-  auto it = s.slot_of.find(sender);
-  assert(it != s.slot_of.end());
-  const uint32_t slot = it->second;
+  const uint32_t slot = s.slot_of.at(sender);
   assert(s.slot_queue[slot].txs.empty());
   s.slot_addr[slot] = eth::kNoAddress;
   s.slot_queue[slot] = AccountQueue{};  // release the queue's allocation
   s.free_slots.push_back(slot);
-  s.slot_of.erase(it);
+  s.slot_of.erase(sender);
 }
 
 void Mempool::reclassify(State& s, eth::Address sender,
@@ -183,7 +180,8 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
   // Read-only early-outs run against the shared state: a forked pool that
   // only ever rejects duplicates/stale nonces never clones its base.
   const State& cs = *st_;
-  if (cs.by_hash.count(tx.hash())) {
+  const eth::TxHash hash = tx.hash();
+  if (cs.by_hash.contains(hash)) {
     result.code = AdmitCode::kRejectedDuplicate;
     return result;
   }
@@ -221,8 +219,8 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
       old.added_at = now;
       s.price_index.insert({tx.pool_price(), tx.id});
       if (!old.pending) s.future_index.insert({tx.pool_price(), tx.id});
-      s.by_id[tx.id] = {tx.sender, tx.nonce};
-      s.by_hash[tx.hash()] = tx.id;
+      s.by_id.insert_or_assign(tx.id, {tx.sender, tx.nonce});
+      s.by_hash.insert_or_assign(hash, tx.id);
       track_added_at(s, now);
       result.code = AdmitCode::kReplaced;
       return result;
@@ -287,8 +285,8 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
   ++q.futures;  // provisional; fixed by reclassify
   s.price_index.insert({tx.pool_price(), tx.id});
   s.future_index.insert({tx.pool_price(), tx.id});  // reclassify removes if pending
-  s.by_id[tx.id] = {tx.sender, tx.nonce};
-  s.by_hash[tx.hash()] = tx.id;
+  s.by_id.insert_or_assign(tx.id, {tx.sender, tx.nonce});
+  s.by_hash.insert_or_assign(hash, tx.id);
   ++s.size;
   track_added_at(s, now);
 
@@ -296,10 +294,9 @@ AdmitResult Mempool::add_impl(const eth::Transaction& tx, double now) {
   reclassify(s, tx.sender, &promoted);
 
   // The incoming tx itself is not a "promotion"; separate it out.
-  const eth::TxHash self = tx.hash();
   bool self_pending = false;
   for (auto it = promoted.begin(); it != promoted.end();) {
-    if (it->hash() == self) {
+    if (it->hash() == hash) {
       self_pending = true;
       it = promoted.erase(it);
     } else {
@@ -467,9 +464,9 @@ const eth::Transaction* Mempool::find(eth::Address sender, eth::Nonce nonce) con
 
 const eth::Transaction* Mempool::find_hash(eth::TxHash h) const {
   const State& s = *st_;
-  auto it = s.by_hash.find(h);
-  if (it == s.by_hash.end()) return nullptr;
-  const auto loc = s.by_id.at(it->second);
+  const uint64_t* id = s.by_hash.find(h);
+  if (id == nullptr) return nullptr;
+  const auto loc = s.by_id.at(*id);
   return find(loc.first, loc.second);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "eth/account.h"
@@ -12,6 +11,7 @@
 #include "mempool/policy.h"
 #include "obs/metrics.h"
 #include "util/cow.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace topo::mempool {
@@ -130,7 +130,18 @@ class Mempool {
   void set_base_fee(eth::Wei base_fee) { base_fee_ = base_fee; }
   eth::Wei base_fee() const { return base_fee_; }
 
-  bool contains(eth::TxHash h) const { return st_->by_hash.count(h) > 0; }
+  bool contains(eth::TxHash h) const { return st_->by_hash.contains(h); }
+
+  /// Duplicate verdict without the transaction body: when `h` is already
+  /// buffered, counts the rejection exactly as add() would for the same
+  /// transaction (one `mempool.rejects`, no trace record) and returns true;
+  /// otherwise leaves every tally alone and returns false. Lets a delivery
+  /// decide "already known" before copying the payload out of the arena.
+  bool reject_if_known(eth::TxHash h) {
+    if (!contains(h)) return false;
+    if (obs_ != nullptr) obs_->rejects->inc();
+    return true;
+  }
   const eth::Transaction* find(eth::Address sender, eth::Nonce nonce) const;
   const eth::Transaction* find_hash(eth::TxHash h) const;
 
@@ -208,18 +219,19 @@ class Mempool {
   struct State {
     // Struct-of-arrays account storage. slot_addr[i] == kNoAddress marks a
     // free slot (recycled LIFO via free_slots); slot_of maps an address to
-    // its slot for O(1) lookup. Iteration happens in slot order.
+    // its slot for O(1) lookup. Iteration happens in slot order; the flat
+    // hash indexes below are only ever probed, never walked.
     std::vector<eth::Address> slot_addr;
     std::vector<AccountQueue> slot_queue;
     std::vector<uint32_t> free_slots;
-    std::unordered_map<eth::Address, uint32_t> slot_of;
+    util::FlatMap64<uint32_t> slot_of;
 
     // (pool price, tx id), cheapest-first for eviction (see flat_index.h).
     FlatPriceIndex price_index;
     // Subset of price_index holding only future entries (truncation order).
     FlatPriceIndex future_index;
-    std::unordered_map<uint64_t, std::pair<eth::Address, eth::Nonce>> by_id;
-    std::unordered_map<eth::TxHash, uint64_t> by_hash;
+    util::FlatMap64<std::pair<eth::Address, eth::Nonce>> by_id;
+    util::FlatMap64<uint64_t> by_hash;  ///< tx hash -> tx id
     size_t size = 0;
     size_t pending_count = 0;
     // Cheap guards so maintain() skips full scans (and, post-fork, the

@@ -35,6 +35,7 @@ PeerId Network::add_node(const NodeConfig& config) {
   const PeerId id = register_peer(raw);
   network_id_of_[id] = config.network_id;
   regular_.push_back(id);
+  is_regular_[id] = true;
   if (metrics_enabled_) raw->pool().set_obs(&pool_obs_);
   raw->start();
   return id;
@@ -68,6 +69,7 @@ PeerId Network::register_peer(Peer* peer) {
   adj_.emplace_back();
   adj_set_.emplace_back();
   network_id_of_.push_back(0);  // externally registered peers observe any overlay
+  is_regular_.push_back(false);
   return id;
 }
 
@@ -130,24 +132,59 @@ bool Network::disconnect(PeerId a, PeerId b) {
 }
 
 void Network::prune_stream(PeerId from, PeerId to) {
-  auto it = streams_.find(stream_key(from, to));
-  if (it == streams_.end()) return;
-  if (it->second.open_batch != 0) {
-    auto bit = batches_.find(it->second.open_batch);
-    assert(bit != batches_.end());
+  const uint64_t key = stream_key(from, to);
+  const StreamState* ss = streams_.find(key);
+  if (ss == nullptr) return;
+  if (ss->open_batch != 0) {
+    TxBatch* b = batches_.find(ss->open_batch);
+    assert(b != nullptr);
     // Seal rather than drop: staged members are already "on the wire".
     // Sealing matters for correctness, not just hygiene — a reconnect
     // restarts the FIFO clock, so later sends may deliver *earlier* than
     // the staged members and must go into a fresh batch to keep each
     // batch's member times monotone.
-    bit->second.sealed = true;
-    if (!bit->second.live_event) {
+    b->sealed = true;
+    if (!b->live_event) {
       // Fully drained already; nothing in flight references it.
-      assert(bit->second.next >= bit->second.members.size());
-      batches_.erase(bit);
+      assert(b->next >= b->members.size());
+      batches_.erase(ss->open_batch);
     }
   }
-  streams_.erase(it);
+  streams_.erase(key);
+}
+
+Network::TxBatch& Network::BatchStore::open(uint64_t id) {
+  uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(slab_.size());
+    slab_.emplace_back();
+  }
+  const bool inserted = index_.try_emplace(id, slot).second;
+  assert(inserted && "batch id reused while staged");
+  (void)inserted;
+  return slab_[slot];
+}
+
+Network::TxBatch* Network::BatchStore::find(uint64_t id) {
+  const uint32_t* slot = index_.find(id);
+  return slot == nullptr ? nullptr : &slab_[*slot];
+}
+
+void Network::BatchStore::erase(uint64_t id) {
+  const uint32_t* slot = index_.find(id);
+  if (slot == nullptr) return;
+  slab_[*slot] = TxBatch{};  // frees the member storage with the batch
+  free_.push_back(*slot);
+  index_.erase(id);
+}
+
+void Network::BatchStore::clear() {
+  index_.clear();
+  slab_.clear();
+  free_.clear();
 }
 
 bool Network::linked(PeerId a, PeerId b) const {
@@ -204,7 +241,7 @@ void Network::send_tx(PeerId from, PeerId to, const eth::Transaction& tx, double
 
 void Network::stage_tx(StreamState& ss, PeerId from, PeerId to, double at, uint32_t slot) {
   if (ss.open_batch != 0) {
-    TxBatch& b = batches_[ss.open_batch];
+    TxBatch& b = *batches_.find(ss.open_batch);
     if (at - b.window_start <= batch_window_) {
       // Reserved at the instant the unbatched path would have pushed, so
       // the member's (t, seq) key — and therefore its position in the
@@ -231,7 +268,7 @@ void Network::stage_tx(StreamState& ss, PeerId from, PeerId to, double at, uint3
     // anchored at its delivery time.
     const uint64_t seq = sim_->reserve_seq();
     ss.open_batch = next_batch_id_++;
-    TxBatch& b = batches_[ss.open_batch];
+    TxBatch& b = batches_.open(ss.open_batch);
     b.from = from;
     b.to = to;
     b.window_start = ss.window_start;
@@ -244,7 +281,7 @@ void Network::stage_tx(StreamState& ss, PeerId from, PeerId to, double at, uint3
   }
   // First send of a fresh window: one plain event, zero staging overhead —
   // a single-send stream (every stream, in a one-tx flood) never touches
-  // the batch map at all.
+  // the batch store at all.
   ss.window_start = at;
   sim_->schedule_at(at, sim::Event::typed(sim::EventKind::kDeliverTx, this, to, from, slot));
 }
@@ -337,12 +374,11 @@ void Network::start_link_churn(double events_per_sec) {
   *tick = [this, events_per_sec, tick] {
     if (!churn_on_) return;
     // Drop one random link between regular nodes.
-    std::unordered_set<PeerId> regular_set(regular_.begin(), regular_.end());
     for (int attempt = 0; attempt < 16; ++attempt) {
       const PeerId u = regular_[rng_.index(regular_.size())];
       if (adj_[u].empty()) continue;
       const PeerId v = adj_[u][rng_.index(adj_[u].size())];
-      if (!regular_set.count(v)) continue;  // never churn measurement links
+      if (!is_regular_[v]) continue;  // never churn measurement links
       disconnect(u, v);
       ++churn_events_;
       break;
@@ -375,14 +411,16 @@ Network::Snapshot Network::snapshot() const {
   s.miners = miners_;
   s.mine_interval = mine_interval_;
   s.arena = arena_.snapshot();
+  // Both flat tables walk in slot order; sorting makes the snapshot a
+  // function of their contents alone.
   s.streams.reserve(streams_.size());
-  for (const auto& [key, ss] : streams_) {
+  streams_.for_each([&s](uint64_t key, const StreamState& ss) {
     s.streams.push_back(Snapshot::StreamClock{key, ss.last_delivery, ss.open_batch, ss.window_start});
-  }
+  });
   std::sort(s.streams.begin(), s.streams.end(),
             [](const auto& a, const auto& b) { return a.key < b.key; });
   s.batches.reserve(batches_.size());
-  for (const auto& [id, b] : batches_) {
+  batches_.for_each([&s](uint64_t id, const TxBatch& b) {
     Snapshot::StagedBatch sb;
     sb.id = id;
     sb.from = b.from;
@@ -392,7 +430,7 @@ Network::Snapshot Network::snapshot() const {
     sb.window_start = b.window_start;
     sb.members.assign(b.members.begin() + static_cast<std::ptrdiff_t>(b.next), b.members.end());
     s.batches.push_back(std::move(sb));
-  }
+  });
   std::sort(s.batches.begin(), s.batches.end(),
             [](const auto& a, const auto& b) { return a.id < b.id; });
   s.next_batch_id = next_batch_id_;
@@ -413,6 +451,8 @@ void Network::restore(const Snapshot& snap) {
   }
   network_id_of_ = snap.network_id_of;
   regular_ = snap.regular;
+  is_regular_.assign(total, false);
+  for (PeerId id : regular_) is_regular_[id] = true;
   owned_.reserve(regular_.size());
   for (size_t i = 0; i < regular_.size(); ++i) {
     // Restore constructor: no start() ticks, no connect() gossip — the
@@ -433,18 +473,18 @@ void Network::restore(const Snapshot& snap) {
   arena_.restore(snap.arena);
   streams_.clear();
   for (const auto& sc : snap.streams) {
-    streams_[sc.key] = StreamState{sc.last_delivery, sc.open_batch, sc.window_start};
+    streams_.insert_or_assign(sc.key,
+                              StreamState{sc.last_delivery, sc.open_batch, sc.window_start});
   }
   batches_.clear();
   for (const auto& sb : snap.batches) {
-    TxBatch b;
+    TxBatch& b = batches_.open(sb.id);
     b.from = sb.from;
     b.to = sb.to;
     b.sealed = sb.sealed;
     b.live_event = sb.live_event;
     b.window_start = sb.window_start;
     b.members = sb.members;
-    batches_[sb.id] = std::move(b);
   }
   next_batch_id_ = snap.next_batch_id;
 }
@@ -465,29 +505,39 @@ void Network::start_mining(std::vector<PeerId> miners, double interval) {
   sim_->schedule_after(interval, sim::Event::typed(sim::EventKind::kMineTick, this));
 }
 
+void Network::deliver_slot(PeerId to, PeerId from, uint32_t slot) {
+  // Duplicate fast path: most pushes in a flood reach a pool that already
+  // holds the tx, so the receiver judges the parked payload in place and
+  // the slot is released without the copy. Otherwise copy out and release
+  // before delivering: propagation inside deliver_tx may send again and
+  // reuse the slot. Either way the slot is released before anything the
+  // delivery sends, so arena handles repeat exactly.
+  Peer* peer = peers_[to];
+  if (known_tx_fast_path_ && peer->absorb_known_tx(arena_.peek(slot), from)) {
+    arena_.release(slot);
+    return;
+  }
+  const eth::Transaction tx = arena_.take(slot);
+  peer->deliver_tx(tx, from);
+}
+
 void Network::on_event(const sim::Event& ev) {
   switch (ev.kind) {
-    case sim::EventKind::kDeliverTx: {
-      // Copy out and release the slot before delivering: propagation inside
-      // deliver_tx may send again and reuse the slot.
-      const uint32_t slot = static_cast<uint32_t>(ev.payload);
-      const eth::Transaction tx = arena_.take(slot);
-      peers_[ev.a]->deliver_tx(tx, ev.b);
+    case sim::EventKind::kDeliverTx:
+      deliver_slot(ev.a, ev.b, static_cast<uint32_t>(ev.payload));
       break;
-    }
     case sim::EventKind::kDeliverTxBatch: {
       // Deliveries below can propagate (admit -> send_tx -> stage_tx) and
-      // insert new entries into batches_; a rehash invalidates every
-      // iterator into the map (references survive, iterators do not). So:
-      // only the reference `b` may outlive a deliver_tx call — the batch is
-      // re-found or erased *by key* (ev.payload) after the loop, never via
-      // the pre-drain iterator. `live_event` also stays true for the whole
-      // dispatch: a delivery that detaches ev.a runs prune_stream on this
-      // stream, and a false flag there would erase the batch out from under
-      // this loop (prune seals live batches instead).
-      auto it = batches_.find(ev.payload);
-      assert(it != batches_.end() && "batch event for an erased batch");
-      TxBatch& b = it->second;
+      // open new batches, which may grow the batch index table. The batch
+      // itself lives in the store's deque, so the reference `b` survives;
+      // it is erased *by key* (ev.payload) after the loop. `live_event`
+      // also stays true for the whole dispatch: a delivery that detaches
+      // ev.a runs prune_stream on this stream, and a false flag there would
+      // erase the batch out from under this loop (prune seals live batches
+      // instead).
+      TxBatch* found = batches_.find(ev.payload);
+      assert(found != nullptr && "batch event for an erased batch");
+      TxBatch& b = *found;
       const sim::Time bound = sim_->drain_bound();
       while (b.next < b.members.size()) {
         const BatchMember m = b.members[b.next];
@@ -499,11 +549,12 @@ void Network::on_event(const sim::Event& ev) {
         const auto [qt, qseq] = sim_->next_event_key();
         if (m.t > qt || (m.t == qt && m.seq > qseq)) break;
         ++b.next;
+        if (b.next < b.members.size()) arena_.prefetch(b.members[b.next].slot);
         sim_->advance_to(m.t);
         sim_->note_drained_delivery();
-        const eth::Transaction tx = arena_.take(m.slot);
-        // Re-read the peer slot each iteration: a delivery can detach ev.a.
-        peers_[ev.a]->deliver_tx(tx, ev.b);
+        // deliver_slot re-reads the peer slot each time: a delivery can
+        // detach ev.a.
+        deliver_slot(ev.a, ev.b, m.slot);
       }
       if (b.next < b.members.size()) {
         // Park the batch back in the queue at its next member's reserved
@@ -513,13 +564,10 @@ void Network::on_event(const sim::Event& ev) {
       } else {
         // Fully drained: erase the batch and return the stream to its
         // plain single-event regime — the next send inside the window
-        // opens a fresh batch only if another one joins it. By key, not
-        // via `it` (see above).
+        // opens a fresh batch only if another one joins it.
         if (!b.sealed) {
-          auto sit = streams_.find(stream_key(ev.b, ev.a));
-          if (sit != streams_.end() && sit->second.open_batch == ev.payload) {
-            sit->second.open_batch = 0;
-          }
+          StreamState* ss = streams_.find(stream_key(ev.b, ev.a));
+          if (ss != nullptr && ss->open_batch == ev.payload) ss->open_batch = 0;
         }
         batches_.erase(ev.payload);
       }

@@ -1,8 +1,8 @@
 #pragma once
 
+#include <deque>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -17,6 +17,7 @@
 #include "p2p/peer.h"
 #include "sim/latency.h"
 #include "sim/simulator.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace topo::p2p {
@@ -116,6 +117,13 @@ class Network : public sim::EventSink {
   /// span stays parked in the arena.
   void set_batch_window(double seconds) { batch_window_ = seconds; }
   double batch_window() const { return batch_window_; }
+
+  /// Enables the duplicate-delivery fast path (Peer::absorb_known_tx;
+  /// default on). Off, every push is copied out of the arena and goes
+  /// through deliver_tx: the copy-first reference that tests compare the
+  /// fast path against. Trajectories, counters and arena handles are the
+  /// same either way.
+  void set_known_tx_fast_path(bool on) { known_tx_fast_path_ = on; }
 
   /// Introspection for tests: directed streams with live FIFO-clock state
   /// (the leak regression), batches currently staged, and the payload
@@ -273,6 +281,7 @@ class Network : public sim::EventSink {
   std::vector<Peer*> peers_;                   // all participants (non-owning view)
   std::vector<std::unique_ptr<Node>> owned_;   // regular nodes we own
   std::vector<PeerId> regular_;                // ids of regular nodes, insert order
+  std::vector<bool> is_regular_;               // by peer id: owned regular node?
   std::vector<std::vector<PeerId>> adj_;
   std::vector<std::unordered_set<PeerId>> adj_set_;
   std::vector<uint64_t> network_id_of_;
@@ -342,11 +351,41 @@ class Network : public sim::EventSink {
   /// still deliver) and erases the FIFO clock.
   void prune_stream(PeerId from, PeerId to);
 
+  /// Staged batches by id. The drain loop holds a TxBatch& across
+  /// deliveries that open new batches, and a flat table moves its entries
+  /// when it grows, so the table maps an id to a slot of a deque (which
+  /// never moves an element on push_back) and freed slots are recycled
+  /// through a free list. Erasing a batch releases its member storage.
+  class BatchStore {
+   public:
+    size_t size() const { return index_.size(); }
+    /// Creates batch `id` (absent) and returns it, value-initialized.
+    TxBatch& open(uint64_t id);
+    TxBatch* find(uint64_t id);
+    void erase(uint64_t id);
+    void clear();
+    /// Calls f(id, batch) for every staged batch, in unspecified order.
+    template <typename F>
+    void for_each(F&& f) const {
+      index_.for_each([&](uint64_t id, uint32_t slot) { f(id, slab_[slot]); });
+    }
+
+   private:
+    util::FlatMap64<uint32_t> index_;  ///< batch id -> slab slot
+    std::deque<TxBatch> slab_;
+    std::vector<uint32_t> free_;       ///< recycled slab slots (LIFO)
+  };
+
+  /// Delivers the payload in arena `slot` to peer `to`: the duplicate fast
+  /// path first (no copy), else copy out, release and deliver_tx.
+  void deliver_slot(PeerId to, PeerId from, uint32_t slot);
+
   PayloadArena arena_;  ///< in-flight full-tx payloads (kDeliverTx + staged batches)
-  std::unordered_map<uint64_t, StreamState> streams_;
-  std::unordered_map<uint64_t, TxBatch> batches_;  ///< by batch id
+  util::FlatMap64<StreamState> streams_;  ///< by stream_key(from, to)
+  BatchStore batches_;
   uint64_t next_batch_id_ = 1;
   double batch_window_ = kDefaultBatchWindow;
+  bool known_tx_fast_path_ = true;
 };
 
 }  // namespace topo::p2p

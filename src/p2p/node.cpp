@@ -103,6 +103,14 @@ void Node::deliver_tx(const eth::Transaction& tx, PeerId from) {
   admit_and_propagate(tx, from);
 }
 
+bool Node::absorb_known_tx(const eth::Transaction& tx, PeerId /*from*/) {
+  if (unresponsive_) return true;
+  const eth::TxHash hash = tx.hash();
+  if (!pool_.reject_if_known(hash)) return false;
+  if (!announce_block_until_.empty() || !announce_sources_.empty()) prune_fetcher(hash);
+  return true;
+}
+
 void Node::prune_fetcher(eth::TxHash hash) {
   announce_block_until_.erase(hash);
   announce_sources_.erase(hash);

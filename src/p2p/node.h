@@ -51,6 +51,13 @@ class Node final : public Peer, public sim::EventSink {
   void start();
 
   void deliver_tx(const eth::Transaction& tx, PeerId from) override;
+  /// Absorbs a push that deliver_tx would turn into a no-op: everything
+  /// while unresponsive (dropped, nothing counted), and a hash already in
+  /// the pool (fetcher state pruned, one `mempool.rejects` counted — what
+  /// the duplicate check inside Mempool::add would do). Reads the pool at
+  /// delivery time, so a tx evicted since it was sent is not absorbed and
+  /// goes on to be re-admitted (the §5.2.1 txC race).
+  bool absorb_known_tx(const eth::Transaction& tx, PeerId from) override;
   void deliver_announce(eth::TxHash hash, PeerId from) override;
   void deliver_get_tx(eth::TxHash hash, PeerId from) override;
   void on_peer_connected(PeerId peer) override;

@@ -47,6 +47,15 @@ class PayloadArena {
     return chunks_[slot / kChunkSlots].txs[slot % kChunkSlots];
   }
 
+  /// Starts pulling the payload in `slot` into cache ahead of a peek/take
+  /// (both of its cache lines). In-flight payloads far outnumber the cache,
+  /// so a delivery's first touch of its payload is a memory miss.
+  void prefetch(uint32_t slot) const {
+    const char* p = reinterpret_cast<const char*>(&peek(slot));
+    __builtin_prefetch(p);
+    __builtin_prefetch(p + sizeof(eth::Transaction) - 1);
+  }
+
   /// Copies the payload out and releases the slot (the delivery path).
   eth::Transaction take(uint32_t slot) {
     eth::Transaction tx = peek(slot);

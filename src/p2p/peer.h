@@ -24,6 +24,19 @@ class Peer {
   /// A full transaction pushed by `from` (devp2p Transactions message).
   virtual void deliver_tx(const eth::Transaction& tx, PeerId from) = 0;
 
+  /// Duplicate-delivery fast path. The Network calls this with the payload
+  /// still parked in its arena, before copying it out for deliver_tx.
+  /// Returning true means the delivery is complete: the peer has applied
+  /// every effect deliver_tx(tx, from) would have had, judged on its state
+  /// at this instant, and deliver_tx is skipped. Returning false must leave
+  /// the peer untouched; the Network then copies the payload and calls
+  /// deliver_tx as usual. The default keeps every delivery on the full path.
+  virtual bool absorb_known_tx(const eth::Transaction& tx, PeerId from) {
+    (void)tx;
+    (void)from;
+    return false;
+  }
+
   /// A hash announcement (NewPooledTransactionHashes).
   virtual void deliver_announce(eth::TxHash hash, PeerId from) = 0;
 

@@ -57,7 +57,13 @@ class Json {
 
   std::string dump() const;
 
-  /// Strict parse of a complete document; nullopt on any syntax error.
+  /// Deepest array/object nesting `parse` accepts. The parser recurses
+  /// once per level, so an unbounded depth lets a hostile document of
+  /// nothing but `[` overflow the stack; deeper input is a parse error.
+  static constexpr size_t kMaxDepth = 1024;
+
+  /// Strict parse of a complete document; nullopt on any syntax error or
+  /// on nesting deeper than kMaxDepth.
   static std::optional<Json> parse(const std::string& text);
 
   bool operator==(const Json& o) const;

@@ -122,9 +122,8 @@ std::optional<size_t> read_long_length(const Bytes& b, size_t& pos, size_t n) {
   return len;
 }
 
-}  // namespace
-
-std::optional<RlpItem> rlp_decode_prefix(const Bytes& bytes, size_t& pos) {
+/// rlp_decode_prefix at list nesting `depth` (0 = top level).
+std::optional<RlpItem> decode_at(const Bytes& bytes, size_t& pos, size_t depth) {
   if (pos >= bytes.size()) return std::nullopt;
   const uint8_t prefix = bytes[pos];
 
@@ -151,6 +150,7 @@ std::optional<RlpItem> rlp_decode_prefix(const Bytes& bytes, size_t& pos) {
     return RlpItem::str(std::move(payload));
   }
   // List.
+  if (depth == kRlpMaxDepth) return std::nullopt;
   ++pos;
   size_t len = 0;
   if (prefix <= 0xf7) {
@@ -164,12 +164,18 @@ std::optional<RlpItem> rlp_decode_prefix(const Bytes& bytes, size_t& pos) {
   const size_t end = pos + len;
   std::vector<RlpItem> items;
   while (pos < end) {
-    auto sub = rlp_decode_prefix(bytes, pos);
+    auto sub = decode_at(bytes, pos, depth + 1);
     if (!sub || pos > end) return std::nullopt;
     items.push_back(std::move(*sub));
   }
   if (pos != end) return std::nullopt;
   return RlpItem::list(std::move(items));
+}
+
+}  // namespace
+
+std::optional<RlpItem> rlp_decode_prefix(const Bytes& bytes, size_t& pos) {
+  return decode_at(bytes, pos, 0);
 }
 
 std::optional<RlpItem> rlp_decode(const Bytes& bytes) {

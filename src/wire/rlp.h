@@ -55,9 +55,15 @@ class RlpItem {
 /// Encodes an item to RLP bytes.
 Bytes rlp_encode(const RlpItem& item);
 
+/// Deepest list nesting the decoder accepts. Decoding recurses once per
+/// level, so without a bound 100 000 nested list prefixes overflow the
+/// stack; deeper input fails like any other malformed encoding.
+inline constexpr size_t kRlpMaxDepth = 1024;
+
 /// Decodes exactly one item; fails (nullopt) on truncation, trailing bytes,
-/// or non-canonical encodings (e.g. a 1-byte string <= 0x7f wrapped in a
-/// 0x81 prefix, or long-form lengths that fit the short form).
+/// non-canonical encodings (e.g. a 1-byte string <= 0x7f wrapped in a
+/// 0x81 prefix, or long-form lengths that fit the short form), or lists
+/// nested deeper than kRlpMaxDepth.
 std::optional<RlpItem> rlp_decode(const Bytes& bytes);
 
 /// Decodes one item from a prefix of `bytes` starting at `pos`; advances

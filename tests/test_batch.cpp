@@ -13,6 +13,7 @@
 #include "core/toposhot.h"
 #include "eth/chain.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "p2p/fault_hook.h"
 #include "p2p/network.h"
 #include "p2p/node.h"
@@ -195,10 +196,11 @@ TEST(BatchDelivery, MidDrainPropagationOpeningManyBatchesIsSafe) {
   // Draining a batch delivers into a Node whose propagation immediately
   // send_tx()es to every neighbor; the second delivery's fan-out opens a
   // new batch on every hub->leaf stream *while the drain dispatch is still
-  // on the stack*, growing batches_ from 1 entry to ~41 and forcing a
-  // rehash. Regression: the handler used to hold a pre-drain iterator
-  // across the loop and compare/erase through it afterwards — dangling
-  // (UB) once the map rehashed. It must erase by key instead.
+  // on the stack*, growing the batch store from 1 entry to ~41 and forcing
+  // its index table to grow. Regression: the handler used to hold a
+  // pre-drain iterator across the loop and compare/erase through it
+  // afterwards — dangling (UB) once the map rehashed. The batch itself
+  // must stay put (it lives in the store's deque) and be erased by key.
   World w;
   w.net.set_batch_window(0.25);
   const PeerId hub = w.net.add_node(w.default_config());
@@ -225,6 +227,59 @@ TEST(BatchDelivery, MidDrainPropagationOpeningManyBatchesIsSafe) {
   }
   EXPECT_EQ(w.net.staged_batches(), 0u) << "all batches drained and erased";
   EXPECT_EQ(w.net.arena().live(), 0u);
+}
+
+// --- Duplicate fast path vs. copy-first order -------------------------------
+
+TEST(BatchDelivery, KnownTxFastPathKeepsArenaHandlesAndPeak) {
+  // A duplicate push absorbed without its copy releases its arena slot at
+  // the instant the copy-first path would have taken it. So the arena's
+  // live handles and payloads, the staged batch members' handles, the
+  // peak and every pool tally repeat exactly, sampled all through a
+  // duplicate-heavy flood over a batched mesh.
+  struct Run {
+    std::vector<std::vector<std::pair<uint32_t, eth::TxHash>>> arena;
+    std::vector<std::vector<uint32_t>> members;
+    uint64_t peak = 0;
+    uint64_t rejects = 0;
+    uint64_t admits = 0;
+  };
+  const auto run = [](bool fast) {
+    World w(sim::LatencyModel::lognormal(0.05, 0.4));
+    obs::MetricsRegistry reg;
+    w.net.enable_metrics(reg);
+    w.net.set_known_tx_fast_path(fast);
+    util::Rng rng(5);
+    const auto ids = w.net.populate(graph::erdos_renyi_gnm(12, 30, rng), w.default_config());
+    for (size_t i = 0; i < 6; ++i) {
+      w.net.node(ids[(2 * i) % ids.size()]).submit(w.pending_tx(100 + i));
+    }
+    Run r;
+    for (int step = 1; step <= 25; ++step) {
+      w.sim.run_until(0.02 * step);
+      const Network::Snapshot snap = w.net.snapshot();
+      r.arena.emplace_back();
+      for (const auto& [slot, tx] : snap.arena.slots) r.arena.back().emplace_back(slot, tx.hash());
+      r.members.emplace_back();
+      for (const auto& b : snap.batches) {
+        for (const auto& m : b.members) r.members.back().push_back(m.slot);
+      }
+    }
+    w.sim.run_until(10.0);
+    EXPECT_EQ(w.net.arena().live(), 0u);
+    r.peak = w.net.arena().peak();
+    r.rejects = reg.counter("mempool.rejects").value();
+    r.admits = reg.counter("mempool.admits.pending").value();
+    return r;
+  };
+  const Run fast = run(true);
+  const Run copy_first = run(false);
+  EXPECT_GT(fast.rejects, fast.admits) << "the flood is mostly duplicates";
+  EXPECT_EQ(fast.arena, copy_first.arena);
+  EXPECT_EQ(fast.members, copy_first.members);
+  EXPECT_EQ(fast.peak, copy_first.peak);
+  EXPECT_EQ(fast.rejects, copy_first.rejects);
+  EXPECT_EQ(fast.admits, copy_first.admits);
 }
 
 // --- Watchdog budget accounting ---------------------------------------------

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "eth/chain.h"
+#include "obs/metrics.h"
 #include "p2p/measurement_node.h"
 #include "p2p/network.h"
 #include "p2p/node.h"
@@ -405,6 +408,125 @@ TEST(P2p, RestartWipesPoolAndFetcherState) {
   w.net.node(a).submit(tx2);
   w.sim.run_until(w.sim.now() + 2.0);
   EXPECT_TRUE(w.net.node(b).pool().contains(tx2.hash()));
+}
+
+// --- Duplicate-delivery fast path -------------------------------------------
+//
+// A push whose hash the receiver already holds is judged on the payload
+// parked in the arena (Peer::absorb_known_tx) instead of being copied out
+// first. Each test runs the fast path and the copy-first reference
+// (set_known_tx_fast_path(false)) and requires the same outcome.
+
+/// The pool tallies a delivery can move, plus the receiver's sorted pool.
+struct PoolOutcome {
+  uint64_t admits_pending = 0;
+  uint64_t admits_future = 0;
+  uint64_t replacements = 0;
+  uint64_t rejects = 0;
+  uint64_t evictions = 0;
+  std::vector<eth::TxHash> pool;
+  bool operator==(const PoolOutcome& o) const {
+    return admits_pending == o.admits_pending && admits_future == o.admits_future &&
+           replacements == o.replacements && rejects == o.rejects &&
+           evictions == o.evictions && pool == o.pool;
+  }
+};
+
+PoolOutcome outcome(obs::MetricsRegistry& reg, const Node& node) {
+  PoolOutcome o;
+  o.admits_pending = reg.counter("mempool.admits.pending").value();
+  o.admits_future = reg.counter("mempool.admits.future").value();
+  o.replacements = reg.counter("mempool.replacements").value();
+  o.rejects = reg.counter("mempool.rejects").value();
+  o.evictions = reg.counter("mempool.evictions").value();
+  for (const auto& tx : node.pool().all_snapshot()) o.pool.push_back(tx.hash());
+  std::sort(o.pool.begin(), o.pool.end());
+  return o;
+}
+
+TEST(KnownTxFastPath, DuplicatePushPrunesOutstandingFetchAndCountsOneReject) {
+  PoolOutcome seen[2];
+  for (const bool fast : {true, false}) {
+    World w;
+    obs::MetricsRegistry reg;
+    w.net.enable_metrics(reg);
+    w.net.set_known_tx_fast_path(fast);
+    const PeerId a = w.net.add_node(w.default_config());
+    const PeerId b = w.net.add_node(w.default_config());
+    w.net.connect(a, b);
+    const auto tx = w.pending_tx();
+    // a announces the hash but cannot serve it: b's fetch stays open.
+    w.net.send_announce(a, b, tx.hash());
+    w.sim.run_until(0.5);
+    ASSERT_EQ(w.net.node(b).announce_fetcher_entries(), 2u) << "window + source list";
+    // The body reaches b's pool some other way, then a push of it lands.
+    ASSERT_TRUE(w.net.node(b).pool().add(tx, w.sim.now()).admitted());
+    const uint64_t rejects = reg.counter("mempool.rejects").value();
+    w.net.send_tx(a, b, tx);
+    w.sim.run_until(1.0);  // before the 5 s fetch timeout could prune it
+    EXPECT_EQ(w.net.node(b).announce_fetcher_entries(), 0u) << "fast=" << fast;
+    EXPECT_EQ(reg.counter("mempool.rejects").value(), rejects + 1) << "fast=" << fast;
+    EXPECT_EQ(w.net.arena().live(), 0u);
+    seen[fast ? 0 : 1] = outcome(reg, w.net.node(b));
+  }
+  EXPECT_EQ(seen[0], seen[1]);
+}
+
+TEST(KnownTxFastPath, UnresponsiveNodeAbsorbsPushesUncounted) {
+  PoolOutcome seen[2];
+  for (const bool fast : {true, false}) {
+    World w;
+    obs::MetricsRegistry reg;
+    w.net.enable_metrics(reg);
+    w.net.set_known_tx_fast_path(fast);
+    const PeerId a = w.net.add_node(w.default_config());
+    const PeerId b = w.net.add_node(w.default_config());
+    w.net.connect(a, b);
+    const auto known = w.pending_tx();
+    ASSERT_TRUE(w.net.node(b).pool().add(known, 0.0).admitted());
+    w.net.node(b).set_unresponsive(true);
+    const PoolOutcome before = outcome(reg, w.net.node(b));
+    w.net.send_tx(a, b, known);           // a duplicate...
+    w.net.send_tx(a, b, w.pending_tx());  // ...and a fresh tx
+    w.sim.run_until(1.0);
+    EXPECT_EQ(outcome(reg, w.net.node(b)), before) << "fast=" << fast;
+    EXPECT_EQ(w.net.arena().live(), 0u);
+    seen[fast ? 0 : 1] = outcome(reg, w.net.node(b));
+  }
+  EXPECT_EQ(seen[0], seen[1]);
+}
+
+TEST(KnownTxFastPath, TxEvictedBetweenSendAndDeliveryIsReadmitted) {
+  // The §5.2.1 txC race: b holds T when a pushes it, a pricier future
+  // flood evicts T while the push is in flight, and the delivery must then
+  // re-admit T (displacing a future), judged on the pool at delivery time.
+  PoolOutcome seen[2];
+  for (const bool fast : {true, false}) {
+    World w;  // fixed 0.05 s latency
+    obs::MetricsRegistry reg;
+    w.net.enable_metrics(reg);
+    w.net.set_known_tx_fast_path(fast);
+    NodeConfig cfg = w.default_config();
+    cfg.policy_override->capacity = 4;
+    const PeerId a = w.net.add_node(w.default_config());
+    const PeerId b = w.net.add_node(cfg);
+    w.net.connect(a, b);
+    const auto t = w.pending_tx(100);
+    ASSERT_TRUE(w.net.node(b).pool().add(t, 0.0).admitted());
+    w.net.send_tx(a, b, t);  // delivers at 0.05
+    for (int i = 0; i < 4; ++i) w.net.node(b).pool().add(w.future_tx(200), 0.0);
+    ASSERT_FALSE(w.net.node(b).pool().contains(t.hash())) << "the flood evicted T";
+    const PoolOutcome before = outcome(reg, w.net.node(b));
+    w.sim.run_until(1.0);
+    const PoolOutcome after = outcome(reg, w.net.node(b));
+    EXPECT_TRUE(w.net.node(b).pool().contains(t.hash())) << "fast=" << fast;
+    // AdmitResult{kAddedPending, one evicted future}, nothing rejected.
+    EXPECT_EQ(after.admits_pending, before.admits_pending + 1) << "fast=" << fast;
+    EXPECT_EQ(after.evictions, before.evictions + 1) << "fast=" << fast;
+    EXPECT_EQ(after.rejects, before.rejects) << "fast=" << fast;
+    seen[fast ? 0 : 1] = after;
+  }
+  EXPECT_EQ(seen[0], seen[1]);
 }
 
 }  // namespace

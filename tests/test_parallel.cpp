@@ -57,6 +57,10 @@ struct LocalCase {
   bool a1a2, a1b, a2b;
 };
 
+// gtest would otherwise print the raw bytes of the case, pointer included,
+// into the test name, which then changes from run to run.
+void PrintTo(const LocalCase& c, std::ostream* os) { *os << c.name; }
+
 class Table8Cases : public ::testing::TestWithParam<LocalCase> {};
 
 TEST_P(Table8Cases, PerfectPrecisionAndRecall) {

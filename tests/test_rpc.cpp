@@ -40,6 +40,25 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::parse("nul").has_value());
 }
 
+std::string nested_arrays(size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  // The parser recurses per level; before the bound, 100 000 `[` blew the
+  // stack (SIGSEGV) instead of failing.
+  const auto deep = Json::parse(nested_arrays(1000));
+  ASSERT_TRUE(deep.has_value());
+  EXPECT_EQ(deep->dump(), nested_arrays(1000));
+  EXPECT_TRUE(Json::parse(nested_arrays(Json::kMaxDepth)).has_value());
+  EXPECT_FALSE(Json::parse(nested_arrays(Json::kMaxDepth + 1)).has_value());
+  EXPECT_FALSE(Json::parse(std::string(100000, '[')).has_value());
+  EXPECT_FALSE(Json::parse(nested_arrays(100000)).has_value());
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(Json::parse(objects).has_value()) << "objects nest too";
+}
+
 TEST(Json, UnicodeEscapes) {
   auto v = Json::parse(R"("Aé")");
   ASSERT_TRUE(v.has_value());
@@ -260,6 +279,15 @@ TEST(Rpc, ErrorsForUnknownMethodAndBadRequests) {
       w.server.handle(R"({"jsonrpc":"2.0","id":1,"method":"eth_getTransactionByHash"})");
   parsed = Json::parse(bad_params);
   EXPECT_DOUBLE_EQ((*parsed)["error"]["code"].as_number(), kInvalidParams);
+}
+
+TEST(Rpc, DeeplyNestedRequestIsAParseError) {
+  RpcWorld w;
+  for (const std::string& request : {std::string(100000, '['), nested_arrays(100000)}) {
+    const auto response = Json::parse(w.server.handle(request));
+    ASSERT_TRUE(response.has_value());
+    EXPECT_DOUBLE_EQ((*response)["error"]["code"].as_number(), kParseError);
+  }
 }
 
 // -- JSON-RPC 2.0 batch framing ---------------------------------------------

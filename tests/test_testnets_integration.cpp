@@ -19,6 +19,10 @@ struct Recipe {
   disc::EmergenceConfig (*make)(size_t);
 };
 
+// gtest would otherwise print the raw bytes of the recipe, pointers
+// included, into the test name, which then changes from run to run.
+void PrintTo(const Recipe& r, std::ostream* os) { *os << r.name; }
+
 class TestnetPipeline : public ::testing::TestWithParam<Recipe> {};
 
 TEST_P(TestnetPipeline, MeasuresWithPerfectPrecision) {

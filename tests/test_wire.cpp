@@ -95,6 +95,44 @@ TEST(Rlp, RejectsNonCanonicalAndTruncated) {
   EXPECT_FALSE(rlp_decode(Bytes{}).has_value());
 }
 
+/// `depth` canonically nested lists around an empty innermost list, built
+/// without recursion (outermost prefix first).
+Bytes nested_lists(size_t depth) {
+  std::vector<Bytes> prefixes;  // innermost first
+  size_t payload = 0;
+  for (size_t d = 0; d < depth; ++d) {
+    Bytes prefix;
+    if (payload <= 55) {
+      prefix.push_back(static_cast<uint8_t>(0xc0 + payload));
+    } else {
+      Bytes len;
+      for (size_t v = payload; v > 0; v >>= 8) len.insert(len.begin(), static_cast<uint8_t>(v));
+      prefix.push_back(static_cast<uint8_t>(0xf7 + len.size()));
+      prefix.insert(prefix.end(), len.begin(), len.end());
+    }
+    payload += prefix.size();
+    prefixes.push_back(std::move(prefix));
+  }
+  Bytes out;
+  out.reserve(payload);
+  for (auto it = prefixes.rbegin(); it != prefixes.rend(); ++it) {
+    out.insert(out.end(), it->begin(), it->end());
+  }
+  return out;
+}
+
+TEST(Rlp, NestingDepthIsBounded) {
+  // Decoding recurses per list level; before the bound, 100 000 nested
+  // lists blew the stack (SIGSEGV) instead of failing.
+  const Bytes deep = nested_lists(1000);
+  const auto item = rlp_decode(deep);
+  ASSERT_TRUE(item.has_value());
+  EXPECT_EQ(rlp_encode(*item), deep);
+  EXPECT_TRUE(rlp_decode(nested_lists(kRlpMaxDepth)).has_value());
+  EXPECT_FALSE(rlp_decode(nested_lists(kRlpMaxDepth + 1)).has_value());
+  EXPECT_FALSE(rlp_decode(nested_lists(100000)).has_value());
+}
+
 TEST(Rlp, UintDecoding) {
   EXPECT_EQ(RlpItem::uint(0).to_uint(), 0u);
   EXPECT_EQ(RlpItem::uint(0x1234).to_uint(), 0x1234u);
